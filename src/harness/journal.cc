@@ -1,7 +1,5 @@
 #include "harness/journal.hh"
 
-#include <cstring>
-#include <map>
 #include <utility>
 
 #include "common/logging.hh"
@@ -78,6 +76,20 @@ encodeSweepBeginRecord(const std::string &name,
 }
 
 std::string
+encodeSweepBeginRecord(const SweepOutcome &planned)
+{
+    std::vector<std::string> labels;
+    std::vector<std::string> benchmarks;
+    for (const auto &row : planned.grid)
+        labels.push_back(row.empty() ? std::string()
+                                     : row.front().configLabel);
+    if (!planned.grid.empty())
+        for (const auto &cell : planned.grid.front())
+            benchmarks.push_back(cell.benchmark);
+    return encodeSweepBeginRecord(planned.name, labels, benchmarks);
+}
+
+std::string
 encodeCellRecord(const JournalCell &cell)
 {
     SerialWriter w;
@@ -119,21 +131,11 @@ journalCellFrom(const SweepCell &cell)
     return jc;
 }
 
-std::string
-frameJournalRecord(const std::string &payload)
-{
-    SerialWriter head;
-    head.u32(static_cast<std::uint32_t>(payload.size()));
-    head.u32(crc32(payload.data(), payload.size()));
-    return head.buffer() + payload;
-}
-
 bool
-JournalAccumulator::add(const char *payload, std::size_t len,
-                        std::string &error)
+JournalAccumulator::add(const std::string &payload, std::string &error)
 {
     try {
-        SerialReader r(payload, len);
+        SerialReader r(payload);
         std::uint8_t type = r.u8();
         if (type == kRecSweepBegin) {
             meta_.name = r.str();
@@ -176,12 +178,6 @@ JournalAccumulator::add(const char *payload, std::size_t len,
     return true;
 }
 
-bool
-JournalAccumulator::add(const std::string &payload, std::string &error)
-{
-    return add(payload.data(), payload.size(), error);
-}
-
 JournalContents
 JournalAccumulator::contents() const
 {
@@ -195,77 +191,35 @@ JournalAccumulator::contents() const
 
 // ----------------------------------------------------------- reader --
 
-namespace {
-
-/** Slurp a journal file and check its magic. */
 bool
-loadJournalBytes(const std::string &path, std::string &bytes,
-                 std::string &error)
+readJournalRaw(const std::string &path,
+               std::vector<std::string> &payloads, bool &truncated,
+               std::string &error)
 {
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr) {
-        error = strfmt("cannot open journal %s", path.c_str());
+    ScopedHostPhase prof(HostPhase::JournalIo);
+    FrameWalk walk;
+    if (!readFramedFile(path, kJournalFormat, walk, error))
         return false;
-    }
-    bytes.clear();
-    char buf[1 << 16];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        bytes.append(buf, n);
-    bool readErr = std::ferror(f) != 0;
-    std::fclose(f);
-    if (readErr) {
-        error = strfmt("error reading journal %s", path.c_str());
-        return false;
-    }
-    if (bytes.size() < sizeof(kJournalMagic) ||
-        std::memcmp(bytes.data(), kJournalMagic,
-                    sizeof(kJournalMagic)) != 0) {
-        error = strfmt("%s is not an lsqscale-journal-v1 file",
-                       path.c_str());
-        return false;
-    }
+    payloads = std::move(walk.payloads);
+    truncated = walk.torn;
     return true;
 }
 
-} // namespace
-
 bool
 readJournal(const std::string &path, JournalContents &out,
-            std::string &error)
+            std::string &error, std::vector<std::string> *records)
 {
-    ScopedHostPhase prof(HostPhase::JournalIo);
-    std::string bytes;
-    if (!loadJournalBytes(path, bytes, error))
+    std::vector<std::string> payloads;
+    bool truncated = false;
+    if (!readJournalRaw(path, payloads, truncated, error))
         return false;
 
-    // Walk the records; stop (not fail) at the first torn one. The
-    // accumulator implements later-record-wins for duplicates.
-    bool truncated = false;
+    // The accumulator implements later-record-wins for duplicates.
     JournalAccumulator acc;
-    std::size_t pos = sizeof(kJournalMagic);
-    while (pos < bytes.size()) {
-        if (bytes.size() - pos < 8) {
-            truncated = true;
-            break;
-        }
-        SerialReader head(bytes.data() + pos, 8);
-        std::uint32_t len = head.u32();
-        std::uint32_t crc = head.u32();
-        if (len > kMaxJournalRecordBytes ||
-            bytes.size() - pos - 8 < len) {
-            truncated = true;
-            break;
-        }
-        const char *payload = bytes.data() + pos + 8;
-        if (crc32(payload, len) != crc) {
-            truncated = true;
-            break;
-        }
-        pos += 8 + len;
-
+    std::size_t kept = 0;
+    for (; kept < payloads.size(); ++kept) {
         std::string recErr;
-        if (!acc.add(payload, len, recErr)) {
+        if (!acc.add(payloads[kept], recErr)) {
             // A CRC-valid but undecodable record: treat like a torn
             // tail — keep what parsed, stop trusting the rest.
             LSQ_WARN("journal %s: bad record (%s); ignoring the rest",
@@ -274,45 +228,11 @@ readJournal(const std::string &path, JournalContents &out,
             break;
         }
     }
-
     out = acc.contents();
     out.truncatedTail = truncated;
-    return true;
-}
-
-bool
-readJournalRaw(const std::string &path,
-               std::vector<std::string> &payloads, bool &truncated,
-               std::string &error)
-{
-    ScopedHostPhase prof(HostPhase::JournalIo);
-    std::string bytes;
-    if (!loadJournalBytes(path, bytes, error))
-        return false;
-
-    payloads.clear();
-    truncated = false;
-    std::size_t pos = sizeof(kJournalMagic);
-    while (pos < bytes.size()) {
-        if (bytes.size() - pos < 8) {
-            truncated = true;
-            break;
-        }
-        SerialReader head(bytes.data() + pos, 8);
-        std::uint32_t len = head.u32();
-        std::uint32_t crc = head.u32();
-        if (len > kMaxJournalRecordBytes ||
-            bytes.size() - pos - 8 < len) {
-            truncated = true;
-            break;
-        }
-        const char *payload = bytes.data() + pos + 8;
-        if (crc32(payload, len) != crc) {
-            truncated = true;
-            break;
-        }
-        payloads.emplace_back(payload, len);
-        pos += 8 + len;
+    if (records != nullptr) {
+        payloads.resize(kept);
+        *records = std::move(payloads);
     }
     return true;
 }
@@ -323,22 +243,21 @@ bool
 writeJournalFile(const std::string &path,
                  const JournalContents &contents, std::string &error)
 {
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    if (f == nullptr) {
-        error = strfmt("cannot create journal %s", path.c_str());
+    FramedFileAppender out;
+    if (!out.open(path, kJournalFormat, /*fresh=*/true, error) ||
+        !out.append(encodeSweepBeginRecord(contents.name,
+                                           contents.configLabels,
+                                           contents.benchmarks),
+                    error))
+        return false;
+    for (const JournalCell &cell : contents.cells)
+        if (!out.append(encodeCellRecord(cell), error))
+            return false;
+    if (!out.close()) {
+        error = strfmt("cannot close journal %s", path.c_str());
         return false;
     }
-    std::string bytes(kJournalMagic, sizeof(kJournalMagic));
-    bytes += frameJournalRecord(encodeSweepBeginRecord(
-        contents.name, contents.configLabels, contents.benchmarks));
-    for (const JournalCell &cell : contents.cells)
-        bytes += frameJournalRecord(encodeCellRecord(cell));
-    bool ok = std::fwrite(bytes.data(), 1, bytes.size(), f) ==
-              bytes.size();
-    ok = (std::fclose(f) == 0) && ok;
-    if (!ok)
-        error = strfmt("short write to journal %s", path.c_str());
-    return ok;
+    return true;
 }
 
 // ----------------------------------------------------------- writer --
@@ -346,76 +265,31 @@ writeJournalFile(const std::string &path,
 JournalWriter::JournalWriter(std::string path, bool append)
     : path_(std::move(path))
 {
-    f_ = std::fopen(path_.c_str(), append ? "ab" : "wb");
-    if (f_ == nullptr) {
-        LSQ_WARN("cannot open journal %s; journaling disabled",
-                 path_.c_str());
-        return;
-    }
-    bool needMagic = !append;
-    if (append) {
-        // An empty pre-existing file still needs the magic. ftell()
-        // right after an "ab" open is implementation-defined, so seek
-        // to the end explicitly before asking.
-        if (std::fseek(f_, 0, SEEK_END) != 0) {
-            LSQ_WARN("cannot seek journal %s; journaling disabled",
-                     path_.c_str());
-            std::fclose(f_);
-            f_ = nullptr;
-            return;
-        }
-        needMagic = std::ftell(f_) <= 0;
-    }
-    if (needMagic) {
-        if (std::fwrite(kJournalMagic, 1, sizeof(kJournalMagic), f_) !=
-                sizeof(kJournalMagic) ||
-            std::fflush(f_) != 0) {
-            LSQ_WARN("cannot write journal %s; journaling disabled",
-                     path_.c_str());
-            std::fclose(f_);
-            f_ = nullptr;
-        }
-    }
-}
-
-JournalWriter::~JournalWriter()
-{
-    if (f_ != nullptr)
-        std::fclose(f_);
+    std::string error;
+    if (!out_.open(path_, kJournalFormat, !append, error))
+        LSQ_WARN("%s; journaling disabled", error.c_str());
 }
 
 void
 JournalWriter::writeRecord(const std::string &payload)
 {
-    if (f_ == nullptr)
+    if (!out_.isOpen())
         return;
     ScopedHostPhase prof(HostPhase::JournalIo);
-    std::string frame = frameJournalRecord(payload);
-    // Flush after every record: the journal's whole point is surviving
-    // the process dying at an arbitrary moment.
-    if (std::fwrite(frame.data(), 1, frame.size(), f_) !=
-            frame.size() ||
-        std::fflush(f_) != 0) {
-        LSQ_WARN("short write to journal %s; journaling disabled",
-                 path_.c_str());
-        std::fclose(f_);
-        f_ = nullptr;
+    // One write(2) per record, unbuffered: the journal exists to
+    // survive the process dying at an arbitrary moment.
+    std::string error;
+    if (!out_.append(payload, error)) {
+        LSQ_WARN("journal %s: %s; journaling disabled", path_.c_str(),
+                 error.c_str());
+        out_.close();
     }
 }
 
 void
 JournalWriter::sweepBegin(const SweepOutcome &planned)
 {
-    std::vector<std::string> labels;
-    std::vector<std::string> benchmarks;
-    for (const auto &row : planned.grid)
-        labels.push_back(row.empty() ? std::string()
-                                     : row.front().configLabel);
-    if (!planned.grid.empty())
-        for (const auto &cell : planned.grid.front())
-            benchmarks.push_back(cell.benchmark);
-    writeRecord(
-        encodeSweepBeginRecord(planned.name, labels, benchmarks));
+    writeRecord(encodeSweepBeginRecord(planned));
 }
 
 void

@@ -12,10 +12,8 @@
  * byte-identical to an uninterrupted run (same SimResult bytes, same
  * stable-order sink rendering).
  *
- * On-disk format:
- *   8-byte magic "LSQJRNL1", then records of
- *     u32 payloadLength, u32 crc32(payload), payload
- *   where payload is
+ * On-disk format: the 8-byte magic "LSQJRNL1", then one frame per
+ * record (the frame codec in sample/serialize.hh), where payload is
  *     u8 type 1 (SweepBegin): str name, u64 rows, u64 cols,
  *        rows x str configLabel, cols x str benchmark
  *     u8 type 2 (CellDone): u64 row, u64 col, u8 status, u32 attempts,
@@ -23,9 +21,9 @@
  *        str stderrTail, f64 seconds, bool hasResult,
  *        [SimResult::saveState bytes]
  *
- * Torn-tail tolerance: a process killed mid-fwrite leaves a partial
- * final frame; the reader stops at the first short or CRC-failing
- * record and keeps everything before it. Duplicate (row, col) records
+ * Torn-tail tolerance: a process killed mid-write leaves a partial
+ * final frame; the reader keeps every record before it, and an
+ * appending writer cuts it off first. Duplicate (row, col) records
  * — from a resumed run appending over a prior one — resolve
  * later-record-wins.
  */
@@ -34,13 +32,13 @@
 #define LSQSCALE_HARNESS_JOURNAL_HH
 
 #include <cstddef>
-#include <cstdio>
 #include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "harness/sink.hh"
+#include "sample/serialize.hh"
 
 namespace lsqscale {
 
@@ -48,14 +46,9 @@ namespace lsqscale {
 inline constexpr char kJournalMagic[8] = {'L', 'S', 'Q', 'J',
                                           'R', 'N', 'L', '1'};
 
-/**
- * Upper bound on one record payload, matching the serve-protocol frame
- * cap: a journal record always fits in one lsqd Record frame. The
- * reader treats a larger declared length as a torn tail even when the
- * file happens to be big enough to hold it — a crafted or corrupted
- * u32 len must never drive a multi-gigabyte allocation.
- */
-inline constexpr std::uint32_t kMaxJournalRecordBytes = 64u << 20;
+/** The journal's framed-file format. */
+inline constexpr FramedFileFormat kJournalFormat{
+    kJournalMagic, "journal", "lsqscale-journal-v1", /*durable=*/false};
 
 /** One CellDone record, decoded. */
 struct JournalCell
@@ -91,18 +84,21 @@ struct JournalContents
  * Parse @p path. Returns false (with @p error set) only for files that
  * are unusable outright — unreadable, too short for the magic, or the
  * wrong magic; a torn tail is NOT an error (truncatedTail flags it).
+ *
+ * @p records, when given, receives the decoded records' payloads in
+ * file order, undeduplicated. That is the order lsqd streamed them, so
+ * a restarted daemon re-adopting a request rebuilds its record array
+ * with the original stream indices, and a client's Attach(fromIndex)
+ * resume stays valid across the restart.
  */
 bool readJournal(const std::string &path, JournalContents &out,
-                 std::string &error);
+                 std::string &error,
+                 std::vector<std::string> *records = nullptr);
 
 /**
- * Walk @p path like readJournal() but return the raw record payloads
- * in file order, undecoded and un-deduplicated. This is the emission
- * order a JournalWriter saw, which is exactly the order lsqd streamed
- * the records — a restarted daemon re-adopting a request replays this
- * sequence to rebuild its record array with the original stream
- * indices intact, so a client's Attach(fromIndex) resume stays valid
- * across the restart. Same failure contract as readJournal().
+ * Walk @p path's frames like readJournal() but return the raw record
+ * payloads in file order, undecoded and undeduplicated. Same failure
+ * contract as readJournal().
  */
 bool readJournalRaw(const std::string &path,
                     std::vector<std::string> &payloads, bool &truncated,
@@ -122,14 +118,14 @@ std::string encodeSweepBeginRecord(
     const std::vector<std::string> &configLabels,
     const std::vector<std::string> &benchmarks);
 
+/** The SweepBegin payload of a planned sweep's grid. */
+std::string encodeSweepBeginRecord(const SweepOutcome &planned);
+
 /** Encode a CellDone payload (record type 2). */
 std::string encodeCellRecord(const JournalCell &cell);
 
 /** A SweepCell reduced to its journal form (result kept when Ok). */
 JournalCell journalCellFrom(const SweepCell &cell);
-
-/** Wrap a record payload in the on-disk u32 len + u32 crc32 frame. */
-std::string frameJournalRecord(const std::string &payload);
 
 /**
  * Incremental record-payload decoder: feed CRC-verified payloads (in
@@ -142,7 +138,6 @@ class JournalAccumulator
 {
   public:
     /** Decode one payload. False (with @p error) on a malformed one. */
-    bool add(const char *payload, std::size_t len, std::string &error);
     bool add(const std::string &payload, std::string &error);
 
     /** Everything fed so far, cells flattened in (row, col) order. */
@@ -173,18 +168,18 @@ class JournalWriter : public ResultSink
 {
   public:
     /**
-     * Open @p path. @p append continues an existing journal (resume);
-     * otherwise the file is truncated and a fresh magic written. An
-     * open failure warns and turns the sink into a no-op (ok() false)
-     * — journaling must never poison a healthy sweep.
+     * Open @p path. @p append continues an existing journal (resume),
+     * cutting off a torn tail first; otherwise the file is truncated
+     * and a fresh magic written. An open failure warns and turns the
+     * sink into a no-op (ok() false) — journaling must never poison a
+     * healthy sweep.
      */
     explicit JournalWriter(std::string path, bool append = false);
-    ~JournalWriter() override;
 
     JournalWriter(const JournalWriter &) = delete;
     JournalWriter &operator=(const JournalWriter &) = delete;
 
-    bool ok() const { return f_ != nullptr; }
+    bool ok() const { return out_.isOpen(); }
     const std::string &path() const { return path_; }
 
     void sweepBegin(const SweepOutcome &planned) override;
@@ -194,7 +189,7 @@ class JournalWriter : public ResultSink
     void writeRecord(const std::string &payload);
 
     std::string path_;
-    std::FILE *f_ = nullptr;
+    FramedFileAppender out_;
 };
 
 /**

@@ -12,6 +12,7 @@
 
 #include "common/logging.hh"
 #include "inject/inject.hh"
+#include "metrics/metrics.hh"
 #include "sample/serialize.hh"
 
 namespace lsqscale {
@@ -29,27 +30,10 @@ constexpr int kExitPipeBroke = 97; ///< could not ship the payload
 /** How much of the child's stderr the parent keeps. */
 constexpr std::size_t kStderrTailMax = 2048;
 
-/** write() everything, retrying on EINTR; false on any other error. */
-bool
-writeAll(int fd, const char *data, std::size_t n)
-{
-    while (n > 0) {
-        ssize_t w = ::write(fd, data, n);
-        if (w < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        data += w;
-        n -= static_cast<std::size_t>(w);
-    }
-    return true;
-}
-
 /**
- * The child side: run the job, frame the outcome (u64 length + u32
- * CRC + marker byte + body), ship it, and leave via std::_Exit so no
- * parent-owned atexit hook or static destructor runs twice.
+ * The child side: run the job, ship the outcome (marker byte + body)
+ * as one frame, and leave via std::_Exit so no parent-owned atexit
+ * hook or static destructor runs twice.
  */
 [[noreturn]] void
 childMain(int resultFd, int stderrFd, int hbFd,
@@ -83,12 +67,8 @@ childMain(int resultFd, int stderrFd, int hbFd,
         exitCode = kExitThrew;
     }
 
-    SerialWriter frame;
-    frame.u64(payload.size());
-    frame.u32(crc32(payload.buffer().data(), payload.size()));
-    bool shipped =
-        writeAll(resultFd, frame.buffer().data(), frame.size()) &&
-        writeAll(resultFd, payload.buffer().data(), payload.size());
+    std::string error;
+    bool shipped = writeFrame(resultFd, payload.buffer(), error);
     std::_Exit(shipped ? exitCode : kExitPipeBroke);
 }
 
@@ -124,19 +104,16 @@ struct Pipe
     }
 };
 
-/** Parse a framed result-pipe payload into @p out; false if torn. */
+/** Parse the framed result-pipe bytes into @p out; false if torn. */
 bool
 parsePayload(const std::string &raw, SimResult &result,
              std::string &jobError, bool &jobThrew)
 {
+    FrameWalk walk = walkFrames(raw.data(), raw.size());
+    if (walk.torn || walk.payloads.size() != 1)
+        return false; // child died mid-write
     try {
-        SerialReader r(raw);
-        std::uint64_t len = r.u64();
-        std::uint32_t crc = r.u32();
-        if (len != r.remaining())
-            return false; // child died mid-write
-        if (crc32(raw.data() + (raw.size() - len), len) != crc)
-            return false;
+        SerialReader r(walk.payloads.front());
         std::uint8_t marker = r.u8();
         if (marker == kPayloadOk) {
             result.loadState(r);
@@ -183,13 +160,16 @@ runCellInProcess(const std::function<SimResult()> &body,
             return out;
         }
 
-        // Fork under the logging lock: another worker thread may hold
-        // it mid-logLine, and the child would inherit it locked
-        // forever.
+        // Fork under the metrics-registry and logging locks: another
+        // thread may hold either, and the child (whose job registers
+        // metrics and logs) would inherit it locked forever. Registry
+        // first: registration can log, never the reverse.
+        metrics::lockRegistryForFork();
         lockLogForFork();
         pid = ::fork();
         if (pid == 0) {
             unlockLogForFork();
+            metrics::unlockRegistryForFork();
             result.closeEnd(result.r);
             errp.closeEnd(errp.r);
             hb.closeEnd(hb.r);
@@ -197,6 +177,7 @@ runCellInProcess(const std::function<SimResult()> &body,
                       opts.heartbeatCycles);
         }
         unlockLogForFork();
+        metrics::unlockRegistryForFork();
         if (pid < 0) {
             out.status = ProcStatus::Failed;
             out.error = strfmt("fork() failed: %s",

@@ -3,11 +3,11 @@
  * Process isolation for sweep cells (docs/ROBUSTNESS.md).
  *
  * runCellInProcess() forks, runs the cell's job in the child, and
- * ships the SimResult back over a pipe (SerialWriter bytes, CRC
- * framed). Whatever the child does — SIGSEGV, SIGABRT from an
- * LSQ_ASSERT or checker panic, a hang, a clean throw — only that cell
- * is lost; the worker thread classifies the corpse and the pool keeps
- * draining.
+ * ships the SimResult back over a pipe as one frame of the shared
+ * codec (sample/serialize.hh). Whatever the child does — SIGSEGV,
+ * SIGABRT from an LSQ_ASSERT or checker panic, a hang, a clean throw —
+ * only that cell is lost; the worker thread classifies the corpse and
+ * the pool keeps draining.
  *
  * Liveness is a heartbeat, not a time budget: the child beats a pipe
  * from Core::run's per-cycle hook (src/inject), and the parent kills
@@ -20,9 +20,11 @@
  * the pipe write ends happen under one global mutex, so a child
  * forked by another worker can never inherit this attempt's write
  * ends (which would delay EOF past the watchdog and poison a healthy
- * cell). Inside that bracket the fork also holds the logging mutex
- * (lockLogForFork/unlockLogForFork) so a child forked while another
- * worker was mid-logLine() does not inherit a locked logger. The
+ * cell). Inside that bracket the fork also holds the metrics registry
+ * mutex and the logging mutex (metrics::lockRegistryForFork,
+ * lockLogForFork) so a child forked while another thread was
+ * registering a metric or mid-logLine() does not inherit a locked
+ * registry or logger. The
  * child leaves via std::_Exit — no atexit hooks (the sweep failure
  * hook must fire once, in the parent), no static destructors.
  */

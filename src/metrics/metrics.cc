@@ -85,6 +85,18 @@ histogram(const std::string &name,
     return *it->second;
 }
 
+void
+lockRegistryForFork()
+{
+    registry().mu.lock();
+}
+
+void
+unlockRegistryForFork()
+{
+    registry().mu.unlock();
+}
+
 const std::vector<std::uint64_t> &
 latencyBucketsUs()
 {

@@ -191,6 +191,15 @@ Histogram &histogram(const std::string &name,
  */
 const std::vector<std::uint64_t> &latencyBucketsUs();
 
+/**
+ * Fork-safety bracket for the registry mutex, like lockLogForFork():
+ * a process-isolated cell forked while another thread registers a
+ * metric would inherit the mutex locked and hang on its own first
+ * registration. Take it before fork() and release it on both sides.
+ */
+void lockRegistryForFork();
+void unlockRegistryForFork();
+
 /** Capture every registered metric. */
 MetricsSnapshot snapshot();
 

@@ -11,7 +11,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -94,15 +93,7 @@ class StreamSink : public ResultSink
     void
     sweepBegin(const SweepOutcome &planned) override
     {
-        std::vector<std::string> labels;
-        std::vector<std::string> benchmarks;
-        for (const auto &row : planned.grid)
-            labels.push_back(row.empty() ? std::string()
-                                         : row.front().configLabel);
-        if (!planned.grid.empty())
-            for (const auto &cell : planned.grid.front())
-                benchmarks.push_back(cell.benchmark);
-        push(encodeSweepBeginRecord(planned.name, labels, benchmarks));
+        push(encodeSweepBeginRecord(planned));
     }
 
     void
@@ -302,143 +293,42 @@ namespace {
 constexpr std::uint8_t kReqAccepted = 1;
 constexpr std::uint8_t kReqFinished = 2;
 
-/** Full write to a raw fd, retrying EINTR and short writes. */
-bool
-writeAllFd(int fd, const void *buf, std::size_t n, std::string &error)
-{
-    const char *p = static_cast<const char *>(buf);
-    std::size_t done = 0;
-    while (done < n) {
-        ssize_t rc = ::write(fd, p + done, n - done);
-        if (rc > 0) {
-            done += static_cast<std::size_t>(rc);
-            continue;
-        }
-        if (rc < 0 && errno == EINTR)
-            continue;
-        error = strfmt("write failed: %s", std::strerror(errno));
-        return false;
-    }
-    return true;
-}
-
-/** Append one framed record and force it to disk. */
-bool
-reqlogAppendRecord(int fd, const std::string &payload,
-                   std::string &error)
-{
-    std::string frame = frameJournalRecord(payload);
-    if (!writeAllFd(fd, frame.data(), frame.size(), error))
-        return false;
-    if (::fsync(fd) != 0) {
-        error = strfmt("fsync failed: %s", std::strerror(errno));
-        return false;
-    }
-    return true;
-}
-
 } // namespace
 
-int
-openReqlogForAppend(const std::string &path, std::string &error)
-{
-    int fd = ::open(path.c_str(),
-                    O_WRONLY | O_APPEND | O_CREAT | O_CLOEXEC, 0644);
-    if (fd < 0) {
-        error = strfmt("cannot open reqlog %s: %s", path.c_str(),
-                       std::strerror(errno));
-        return -1;
-    }
-    off_t end = ::lseek(fd, 0, SEEK_END);
-    if (end < 0) {
-        error = strfmt("cannot seek reqlog %s: %s", path.c_str(),
-                       std::strerror(errno));
-        ::close(fd);
-        return -1;
-    }
-    if (end == 0) {
-        if (!writeAllFd(fd, kReqlogMagic, sizeof(kReqlogMagic),
-                        error) ||
-            ::fsync(fd) != 0) {
-            if (error.empty())
-                error = strfmt("fsync failed: %s",
-                               std::strerror(errno));
-            ::close(fd);
-            return -1;
-        }
-    }
-    return fd;
-}
-
 bool
-reqlogAppendAccepted(int fd, std::uint64_t id,
+reqlogAppendAccepted(FramedFileAppender &log, std::uint64_t id,
                      const SweepRequestSpec &spec, std::string &error)
 {
     SerialWriter w;
     w.u8(kReqAccepted);
     w.u64(id);
     spec.encode(w);
-    return reqlogAppendRecord(fd, w.buffer(), error);
+    return log.append(w.buffer(), error);
 }
 
 bool
-reqlogAppendFinished(int fd, std::uint64_t id, std::uint8_t state,
-                     std::string &error)
+reqlogAppendFinished(FramedFileAppender &log, std::uint64_t id,
+                     std::uint8_t state, std::string &error)
 {
     SerialWriter w;
     w.u8(kReqFinished);
     w.u64(id);
     w.u8(state);
-    return reqlogAppendRecord(fd, w.buffer(), error);
+    return log.append(w.buffer(), error);
 }
 
 bool
 readReqlog(const std::string &path, std::vector<ReqlogEntry> &out,
            std::string &error)
 {
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr) {
-        error = strfmt("cannot open reqlog %s", path.c_str());
+    FrameWalk walk;
+    if (!readFramedFile(path, kReqlogFormat, walk, error))
         return false;
-    }
-    std::string bytes;
-    char buf[1 << 16];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        bytes.append(buf, n);
-    bool readErr = std::ferror(f) != 0;
-    std::fclose(f);
-    if (readErr) {
-        error = strfmt("error reading reqlog %s", path.c_str());
-        return false;
-    }
-    if (bytes.size() < sizeof(kReqlogMagic) ||
-        std::memcmp(bytes.data(), kReqlogMagic,
-                    sizeof(kReqlogMagic)) != 0) {
-        error = strfmt("%s is not an lsqscale-reqlog-v1 file",
-                       path.c_str());
-        return false;
-    }
 
-    // Same torn-tail discipline as the sweep journal: stop trusting
-    // the file at the first short, oversized, or CRC-failing frame.
     std::map<std::uint64_t, ReqlogEntry> entries;
-    std::size_t pos = sizeof(kReqlogMagic);
-    while (pos < bytes.size()) {
-        if (bytes.size() - pos < 8)
-            break;
-        SerialReader head(bytes.data() + pos, 8);
-        std::uint32_t len = head.u32();
-        std::uint32_t crc = head.u32();
-        if (len > kMaxJournalRecordBytes ||
-            bytes.size() - pos - 8 < len)
-            break;
-        const char *payload = bytes.data() + pos + 8;
-        if (crc32(payload, len) != crc)
-            break;
-        pos += 8 + len;
+    for (const std::string &payload : walk.payloads) {
         try {
-            SerialReader r(payload, len);
+            SerialReader r(payload);
             std::uint8_t type = r.u8();
             if (type == kReqAccepted) {
                 ReqlogEntry e;
@@ -486,8 +376,6 @@ Daemon::~Daemon()
 {
     if (listenFd_ >= 0)
         ::close(listenFd_);
-    if (reqlogFd_ >= 0)
-        ::close(reqlogFd_);
 }
 
 int
@@ -662,19 +550,20 @@ Daemon::spoolInit()
             for (const ReqlogEntry &e : entries)
                 if (e.id >= nextId_)
                     nextId_ = e.id + 1;
+            // A crashed compaction's leftover .tmp is truncated.
             std::string tmp = reqlogPath_ + ".tmp";
-            fs::remove(tmp, ec); // a crashed compaction's leftover
             std::string werr;
-            int tfd = openReqlogForAppend(tmp, werr);
-            bool ok = tfd >= 0;
+            FramedFileAppender compacted;
+            bool ok = compacted.open(tmp, kReqlogFormat,
+                                     /*fresh=*/true, werr);
             for (const ReqlogEntry &e : entries) {
                 if (!ok)
                     break;
                 if (!e.finished)
-                    ok = reqlogAppendAccepted(tfd, e.id, e.spec,
+                    ok = reqlogAppendAccepted(compacted, e.id, e.spec,
                                               werr);
             }
-            if (tfd >= 0 && ::close(tfd) != 0 && ok) {
+            if (!compacted.close() && ok) {
                 ok = false;
                 werr = strfmt("close failed: %s",
                               std::strerror(errno));
@@ -699,8 +588,8 @@ Daemon::spoolInit()
     }
 
     std::string oerr;
-    reqlogFd_ = openReqlogForAppend(reqlogPath_, oerr);
-    if (reqlogFd_ < 0) {
+    if (!reqlog_.open(reqlogPath_, kReqlogFormat, /*fresh=*/false,
+                      oerr)) {
         LSQ_WARN("lsqd: %s", oerr.c_str());
         return false;
     }
@@ -747,30 +636,14 @@ Daemon::readoptRequests(const std::vector<ReqlogEntry> &unfinished)
         // indices it counted on.
         if (fs::exists(req->journalPath)) {
             std::vector<std::string> payloads;
-            bool torn = false;
             std::string jerr;
-            if (readJournalRaw(req->journalPath, payloads, torn,
-                               jerr)) {
-                JournalAccumulator acc;
-                std::size_t kept = 0;
-                for (const std::string &p : payloads) {
-                    std::string aerr;
-                    if (!acc.add(p, aerr)) {
-                        LSQ_WARN("lsqd: journal %s: bad record (%s); "
-                                 "ignoring the rest",
-                                 req->journalPath.c_str(),
-                                 aerr.c_str());
-                        break;
-                    }
-                    ++kept;
+            if (readJournal(req->journalPath, req->resume, jerr,
+                            &payloads)) {
+                for (std::string &p : payloads) {
+                    req->recordBytes += p.size();
+                    req->records.push_back(std::move(p));
                 }
-                std::uint64_t bytes = 0;
-                for (std::size_t i = 0; i < kept; ++i) {
-                    bytes += payloads[i].size();
-                    req->records.push_back(std::move(payloads[i]));
-                }
-                req->recordBytes = bytes;
-                req->resume = acc.contents();
+                std::uint64_t bytes = req->recordBytes;
                 if (bytes > 0) {
                     std::uint64_t now =
                         retainedBytes_.fetch_add(bytes) + bytes;
@@ -778,10 +651,12 @@ Daemon::readoptRequests(const std::vector<ReqlogEntry> &unfinished)
                         .set(static_cast<std::int64_t>(now));
                 }
             } else {
+                // Appending to a foreign file would fail: start over.
                 LSQ_WARN("lsqd: %s; request %llu re-runs from "
                          "scratch",
                          jerr.c_str(),
                          static_cast<unsigned long long>(e.id));
+                fs::remove(req->journalPath, ec);
             }
         }
 
@@ -860,10 +735,9 @@ Daemon::finishRequest(const std::shared_ptr<ServeRequest> &req)
     bool marked = false;
     {
         std::lock_guard<std::mutex> lock(reqlogMu_);
-        if (reqlogFd_ >= 0) {
+        if (reqlog_.isOpen()) {
             std::string err;
-            marked = reqlogAppendFinished(reqlogFd_, req->id, state,
-                                          err);
+            marked = reqlogAppendFinished(reqlog_, req->id, state, err);
             if (!marked)
                 LSQ_WARN("lsqd: cannot mark request %llu finished: "
                          "%s (a restart re-adopts it, idempotently)",
@@ -1020,10 +894,9 @@ Daemon::handleSubmit(int fd, SerialReader &r)
         // Durable accept: once this record hits disk, a SIGKILL'd
         // daemon re-adopts the request on restart.
         std::lock_guard<std::mutex> lock(reqlogMu_);
-        if (reqlogFd_ >= 0) {
+        if (reqlog_.isOpen()) {
             std::string lerr;
-            if (!reqlogAppendAccepted(reqlogFd_, req->id, req->spec,
-                                      lerr))
+            if (!reqlogAppendAccepted(reqlog_, req->id, req->spec, lerr))
                 LSQ_WARN("lsqd: reqlog append failed: %s (request "
                          "%llu will not survive a restart)",
                          lerr.c_str(),

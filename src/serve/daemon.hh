@@ -136,8 +136,8 @@ bool parseServeArgs(const std::vector<std::string> &args,
 // ------------------------------------------------------------ reqlog --
 //
 // lsqscale-reqlog-v1: the durable request log under --spool-dir.
-// Magic, then u32 len + u32 crc32(payload) frames (same discipline as
-// the sweep journal) where payload is
+// Magic, then one frame per record (the frame codec in
+// sample/serialize.hh, shared with the sweep journal) where payload is
 //   u8 type 1 (Accepted): u64 id, SweepRequestSpec
 //   u8 type 2 (Finished): u64 id, u8 terminal DoneSummary state
 // Appends are fsync'd: an Accepted record survives any later SIGKILL,
@@ -156,20 +156,18 @@ struct ReqlogEntry
     std::uint8_t finalState = 0; ///< DoneSummary state when finished
 };
 
-/**
- * Open (creating) a reqlog for appending, writing the magic when the
- * file is fresh. Returns the fd, or -1 with @p error.
- */
-int openReqlogForAppend(const std::string &path, std::string &error);
+/** The reqlog's framed-file format: every append is fsync'd. */
+inline constexpr FramedFileFormat kReqlogFormat{
+    kReqlogMagic, "reqlog", "lsqscale-reqlog-v1", /*durable=*/true};
 
-/** Append (write + fsync) one Accepted record. */
-bool reqlogAppendAccepted(int fd, std::uint64_t id,
+/** Append (write + fsync) one Accepted record to an open reqlog. */
+bool reqlogAppendAccepted(FramedFileAppender &log, std::uint64_t id,
                           const SweepRequestSpec &spec,
                           std::string &error);
 
-/** Append (write + fsync) one Finished record. */
-bool reqlogAppendFinished(int fd, std::uint64_t id, std::uint8_t state,
-                          std::string &error);
+/** Append (write + fsync) one Finished record to an open reqlog. */
+bool reqlogAppendFinished(FramedFileAppender &log, std::uint64_t id,
+                          std::uint8_t state, std::string &error);
 
 /**
  * Parse @p path into id-ordered, deduplicated entries. Same failure
@@ -251,7 +249,7 @@ class Daemon
 
     std::mutex reqlogMu_;
     std::string reqlogPath_;
-    int reqlogFd_ = -1;
+    FramedFileAppender reqlog_;
 
     /** Live (accepted, not yet terminal-and-accounted) requests. */
     std::atomic<unsigned> activeRequests_{0};

@@ -146,45 +146,28 @@ DoneSummary::decode(SerialReader &r)
 bool
 sendFrame(int fd, const std::string &payload, std::string &error)
 {
-    if (payload.size() > kMaxServeFrameBytes) {
-        error = strfmt("refusing to send oversized frame (%zu bytes)",
-                       payload.size());
-        return false;
-    }
-    SerialWriter head;
-    head.u32(static_cast<std::uint32_t>(payload.size()));
-    head.u32(crc32(payload.data(), payload.size()));
-    std::string frame = head.buffer() + payload;
-    return writeAll(fd, frame.data(), frame.size(), error);
+    std::string frame;
+    return encodeFrame(payload, frame, error) &&
+           writeAll(fd, frame.data(), frame.size(), error);
 }
 
 int
 recvFrame(int fd, std::string &payload, std::string &error)
 {
-    char head[8];
+    char head[kFrameHeaderBytes];
     error.clear();
     if (!readAll(fd, head, sizeof(head), error))
         return error.empty() ? 0 : -1;
-    SerialReader r(head, sizeof(head));
-    std::uint32_t len = r.u32();
-    std::uint32_t crc = r.u32();
-    if (len > kMaxServeFrameBytes) {
-        error = strfmt("frame length %u exceeds the %u-byte cap "
-                       "(corrupt peer?)",
-                       len, kMaxServeFrameBytes);
+    FrameHeader h;
+    if (!decodeFrameHeader(head, h, error))
         return -1;
-    }
-    payload.assign(len, '\0');
-    if (len > 0 && !readAll(fd, payload.data(), len, error)) {
+    payload.assign(h.len, '\0');
+    if (!readAll(fd, payload.data(), h.len, error)) {
         if (error.empty())
             error = "connection closed mid-frame";
         return -1;
     }
-    if (crc32(payload.data(), payload.size()) != crc) {
-        error = "frame CRC mismatch (corrupted stream?)";
-        return -1;
-    }
-    return 1;
+    return checkFramePayload(h, payload.data(), error) ? 1 : -1;
 }
 
 // --------------------------------------------------- message builders --

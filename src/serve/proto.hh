@@ -2,12 +2,10 @@
  * @file
  * lsqscale-serve-v1: the lsqd wire protocol (docs/SERVICE.md).
  *
- * Transport is a Unix-domain stream socket carrying the same framing
- * discipline as the PR 5 result pipe and the sweep journal:
- *
- *   u32 payloadLength, u32 crc32(payload), payload
- *
- * Every payload starts with a u8 message type. Client-to-server
+ * Transport is a Unix-domain stream socket carrying one frame per
+ * message, in the frame format shared with the sweep journal and the
+ * cell result pipe (the frame codec in sample/serialize.hh). Every
+ * payload starts with a u8 message type. Client-to-server
  * messages are commands; server-to-client messages are the reply
  * stream. A command connection is single-shot: the client sends one
  * command, reads the reply (for Submit/Attach, a stream of Record
@@ -33,9 +31,6 @@ namespace lsqscale {
 
 /** Protocol version, checked on every Submit. */
 inline constexpr std::uint32_t kServeProtoVersion = 1;
-
-/** Upper bound on one frame; larger means a corrupt peer. */
-inline constexpr std::uint32_t kMaxServeFrameBytes = 64u << 20;
 
 /** Message types. 1–63 client-to-server, 64+ server-to-client. */
 enum class ServeMsg : std::uint8_t
@@ -111,7 +106,8 @@ bool sendFrame(int fd, const std::string &payload, std::string &error);
 /**
  * Read one frame from @p fd. Returns 1 with the verified payload,
  * 0 on clean EOF before any byte of a frame, -1 (with @p error) on
- * a truncated frame, CRC mismatch, oversized length, or socket error.
+ * a truncated frame, CRC mismatch, a length over kMaxFrameBytes
+ * (rejected before the payload is allocated), or socket error.
  */
 int recvFrame(int fd, std::string &payload, std::string &error);
 

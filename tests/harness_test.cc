@@ -17,7 +17,9 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
@@ -29,9 +31,11 @@
 #include "common/logging.hh"
 #include "harness/job_pool.hh"
 #include "harness/journal.hh"
+#include "harness/proc_runner.hh"
 #include "harness/sink.hh"
 #include "harness/sweep.hh"
 #include "inject/inject.hh"
+#include "metrics/metrics.hh"
 #include "sim/experiment.hh"
 #include "sim/sim_config.hh"
 #include "sim/simulator.hh"
@@ -723,6 +727,38 @@ TEST(ProcIsolationTest, CrashedCellRetriesCanSucceed)
     EXPECT_EQ(out.poisonedCells, 0u);
 }
 
+TEST(ProcIsolationTest, ForkWhileAnotherThreadRegistersMetrics)
+{
+    SKIP_UNDER_TSAN();
+    // A child forked while another thread held the metrics registry
+    // mutex inherited it locked and hung on its own first metric until
+    // the deadline killed it. Both metrics exist before the first fork
+    // and their names fit the short-string buffer, so the hammer never
+    // allocates: under ASan a fork mid-malloc can hang the child too.
+    metrics::counter("lsq_t_n_total");
+    metrics::gauge("lsq_t_live");
+    std::atomic<bool> stop{false};
+    JobPool hammer(1);
+    hammer.submit([&stop] {
+        while (!stop.load(std::memory_order_relaxed))
+            metrics::counter("lsq_t_n_total").add();
+    });
+    ProcOptions opts;
+    opts.hardTimeout = std::chrono::milliseconds(2000);
+    for (int i = 0; i < 200; ++i) {
+        ProcOutcome out = runCellInProcess(
+            [] {
+                metrics::gauge("lsq_t_live").add();
+                return SimResult{};
+            },
+            opts);
+        EXPECT_EQ(out.status, ProcStatus::Ok)
+            << "fork " << i << ": " << out.error;
+    }
+    stop = true;
+    hammer.wait();
+}
+
 // ------------------------------------------------------ journal ------
 
 TEST(JournalTest, RoundTripRestoresResultsBitExactly)
@@ -855,11 +891,13 @@ TEST(JournalTest, RawWalkPreservesEmissionOrder)
     cell.error = "second try";
     const std::string second = encodeCellRecord(cell);
 
+    std::string error;
     {
         std::ofstream out(path, std::ios::binary);
         out.write(kJournalMagic, sizeof kJournalMagic);
         for (const std::string *p : {&begin, &first, &second}) {
-            std::string frame = frameJournalRecord(*p);
+            std::string frame;
+            ASSERT_TRUE(encodeFrame(*p, frame, error)) << error;
             out.write(frame.data(),
                       static_cast<std::streamsize>(frame.size()));
         }
@@ -867,7 +905,6 @@ TEST(JournalTest, RawWalkPreservesEmissionOrder)
 
     std::vector<std::string> payloads;
     bool torn = true;
-    std::string error;
     ASSERT_TRUE(readJournalRaw(path, payloads, torn, error)) << error;
     EXPECT_FALSE(torn);
     ASSERT_EQ(payloads.size(), 3u);
@@ -1022,6 +1059,75 @@ TEST(JournalTest, ResumeRerunsOnlyUnfinishedCells)
     for (const JournalCell &cell : final.cells)
         EXPECT_EQ(cell.status, JobStatus::Ok)
             << "cell (" << cell.row << "," << cell.col << ")";
+    std::remove(path.c_str());
+}
+
+TEST(JournalTest, ResumeOverATornTailKeepsEveryLaterRecord)
+{
+    // A sweep killed mid-append leaves a torn final frame. Readers stop
+    // at the tear, so a resume that appended after it would journal
+    // cells no later reader sees, and every further resume would run
+    // them again.
+    std::string path = testing::TempDir() + "/torn_resume.journal";
+    std::remove(path.c_str());
+
+    auto makeSweep = [] {
+        SweepOptions opts;
+        opts.jobs = 1;
+        opts.name = "torn_resume_unit";
+        return Sweep({{"a", tinyConfig}, {"b", tinyConfig}},
+                     {"bzip", "gcc"}, opts);
+    };
+    auto dummyJob = [](const SimConfig &cfg, const JobContext &) {
+        return dummyResult(cfg.benchmark);
+    };
+    {
+        Sweep sweep = makeSweep();
+        sweep.setJobFn(dummyJob);
+        JournalWriter journal(path);
+        sweep.addSink(&journal);
+        sweep.run();
+    }
+    // Cut the last record mid-way.
+    std::filesystem::resize_file(path,
+                                 std::filesystem::file_size(path) - 5);
+
+    JournalContents j;
+    std::string error;
+    ASSERT_TRUE(readJournal(path, j, error)) << error;
+    ASSERT_TRUE(j.truncatedTail);
+    ASSERT_EQ(j.cells.size(), 3u);
+    {
+        Sweep sweep = makeSweep();
+        sweep.setJobFn(dummyJob);
+        sweep.setResume(std::move(j));
+        JournalWriter journal(path, /*append=*/true);
+        ASSERT_TRUE(journal.ok());
+        sweep.addSink(&journal);
+        SweepOutcome out = sweep.run();
+        EXPECT_EQ(out.restoredCells, 3u);
+    }
+
+    JournalContents final;
+    ASSERT_TRUE(readJournal(path, final, error)) << error;
+    EXPECT_FALSE(final.truncatedTail);
+    EXPECT_EQ(final.cells.size(), 4u);
+    std::remove(path.c_str());
+}
+
+TEST(JournalTest, AppendRefusesAForeignFile)
+{
+    std::string path = testing::TempDir() + "/foreign.journal";
+    {
+        std::ofstream out(path, std::ios::binary);
+        out << "not a journal, keep me";
+    }
+    JournalWriter journal(path, /*append=*/true);
+    EXPECT_FALSE(journal.ok());
+    std::ifstream in(path, std::ios::binary);
+    std::string kept((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+    EXPECT_EQ(kept, "not a journal, keep me");
     std::remove(path.c_str());
 }
 

@@ -19,12 +19,14 @@
  * (the one sanctioned thread-construction site).
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -158,11 +160,11 @@ TEST(ServeProtoTest, CorruptPayloadRejectedByCrc)
 
 TEST(ServeProtoTest, OversizedAndTruncatedFramesRejected)
 {
-    // A length header past kMaxServeFrameBytes means a corrupt peer.
+    // A length header past kMaxFrameBytes means a corrupt peer.
     int sp[2];
     ASSERT_EQ(0, ::socketpair(AF_UNIX, SOCK_STREAM, 0, sp));
     std::string head(8, '\0');
-    const std::uint32_t huge = kMaxServeFrameBytes + 1;
+    const std::uint32_t huge = kMaxFrameBytes + 1;
     std::memcpy(head.data(), &huge, sizeof huge);
     rawWrite(sp[0], head);
     ::close(sp[0]);
@@ -187,6 +189,233 @@ TEST(ServeProtoTest, OversizedAndTruncatedFramesRejected)
     EXPECT_EQ(-1, recvFrame(sp3[1], back, error));
     EXPECT_FALSE(error.empty());
     ::close(sp3[1]);
+}
+
+// ====================================================== frame codec ==
+//
+// Deterministic mutation of the one frame codec. Every framed stream —
+// journal, reqlog, socket, cell pipe — decodes through walkFrames() or
+// decodeFrameHeader()/checkFramePayload(), so a flipped bit, a cut, an
+// inflated length or a splice must yield a prefix of what was written:
+// never a payload nobody wrote, never a crash.
+
+/** SweepBegin plus two cells, one carrying a result. */
+std::vector<std::string>
+journalRecords(const std::string &name)
+{
+    JournalCell cell;
+    cell.status = JobStatus::Failed;
+    cell.error = name + " failed";
+    std::vector<std::string> out = {
+        encodeSweepBeginRecord(name, {"base"}, {"bzip", "gcc"}),
+        encodeCellRecord(cell)};
+    cell.col = 1;
+    cell.status = JobStatus::Ok;
+    cell.error.clear();
+    cell.hasResult = true;
+    cell.result.benchmark = "gcc";
+    cell.result.cycles = 1234;
+    out.push_back(encodeCellRecord(cell));
+    return out;
+}
+
+/** A framed file's bytes, plus the offset where each frame ends. */
+struct FramedBytes
+{
+    std::string bytes;
+    std::vector<std::size_t> ends;
+};
+
+FramedBytes
+framedFile(const std::vector<std::string> &payloads)
+{
+    FramedBytes f{std::string(kJournalMagic, sizeof kJournalMagic), {}};
+    std::string frame, error;
+    for (const std::string &p : payloads) {
+        EXPECT_TRUE(encodeFrame(p, frame, error)) << error;
+        f.bytes += frame;
+        f.ends.push_back(f.bytes.size());
+    }
+    return f;
+}
+
+/** Frames that end at or before @p offset. */
+std::size_t
+framesWithin(const FramedBytes &f, std::size_t offset)
+{
+    std::size_t n = 0;
+    while (n < f.ends.size() && f.ends[n] <= offset)
+        ++n;
+    return n;
+}
+
+std::vector<std::string>
+firstN(const std::vector<std::string> &v, std::size_t n)
+{
+    return {v.begin(), v.begin() + static_cast<std::ptrdiff_t>(n)};
+}
+
+bool
+readsAsJournal(const std::string &bytes)
+{
+    const std::string path = scratch("mutant.journal");
+    {
+        std::ofstream out(path, std::ios::binary);
+        out << bytes;
+    }
+    FrameWalk walk;
+    std::string error;
+    return readFramedFile(path, kJournalFormat, walk, error);
+}
+
+TEST(FrameCodecTest, EveryBitFlipKeepsOnlyTheFramesBeforeIt)
+{
+    const std::vector<std::string> written = journalRecords("flip");
+    const FramedBytes file = framedFile(written);
+    for (std::size_t bit = 0; bit < file.bytes.size() * 8; ++bit) {
+        std::string m = file.bytes;
+        m[bit / 8] = static_cast<char>(m[bit / 8] ^ (1 << (bit % 8)));
+        if (bit / 8 < sizeof kJournalMagic) {
+            EXPECT_FALSE(readsAsJournal(m)) << "magic bit " << bit;
+            continue;
+        }
+        // CRC-32 catches every single-bit error, and a flipped length
+        // can only misplace the payload it guards.
+        FrameWalk walk = walkFrames(m.data(), m.size(), 8);
+        EXPECT_EQ(walk.payloads,
+                  firstN(written, framesWithin(file, bit / 8)))
+            << "bit " << bit;
+        EXPECT_TRUE(walk.torn) << "bit " << bit;
+    }
+}
+
+TEST(FrameCodecTest, EveryTruncationKeepsTheWholeFrames)
+{
+    const std::vector<std::string> written = journalRecords("cut");
+    const FramedBytes file = framedFile(written);
+    for (std::size_t len = 0; len < sizeof kJournalMagic; ++len)
+        EXPECT_FALSE(readsAsJournal(file.bytes.substr(0, len))) << len;
+    for (std::size_t len = sizeof kJournalMagic; len <= file.bytes.size();
+         ++len) {
+        FrameWalk walk = walkFrames(file.bytes.data(), len, 8);
+        std::size_t whole = framesWithin(file, len);
+        EXPECT_EQ(walk.payloads, firstN(written, whole)) << len;
+        EXPECT_EQ(walk.validEnd,
+                  whole == 0 ? sizeof kJournalMagic : file.ends[whole - 1])
+            << len;
+        EXPECT_EQ(walk.torn, walk.validEnd != len) << len;
+    }
+}
+
+TEST(FrameCodecTest, InflatedLengthIsRejectedBeforeAllocation)
+{
+    const std::vector<std::string> written = journalRecords("inflate");
+    const FramedBytes file = framedFile(written);
+    std::string error;
+    for (std::uint32_t len : {kMaxFrameBytes + 1, 0xffffffffu}) {
+        std::string head(kFrameHeaderBytes, '\0');
+        std::memcpy(head.data(), &len, sizeof len);
+        FrameHeader h;
+        EXPECT_FALSE(decodeFrameHeader(head.data(), h, error)) << len;
+
+        for (std::size_t k = 0; k < written.size(); ++k) {
+            std::string m = file.bytes;
+            std::size_t at = k == 0 ? sizeof kJournalMagic : file.ends[k - 1];
+            std::memcpy(m.data() + at, &len, sizeof len);
+            FrameWalk walk = walkFrames(m.data(), m.size(), 8);
+            EXPECT_EQ(walk.payloads, firstN(written, k)) << len;
+            EXPECT_EQ(walk.validEnd, at);
+        }
+
+        // The socket reader refuses the header before sizing a buffer.
+        int sp[2];
+        ASSERT_EQ(0, ::socketpair(AF_UNIX, SOCK_STREAM, 0, sp));
+        rawWrite(sp[0], head + "tail");
+        ::close(sp[0]);
+        std::string back;
+        EXPECT_EQ(-1, recvFrame(sp[1], back, error));
+        EXPECT_NE(error.find("cap"), std::string::npos) << error;
+        EXPECT_TRUE(back.empty());
+        ::close(sp[1]);
+    }
+    std::string frame;
+    EXPECT_FALSE(
+        encodeFrame(std::string(kMaxFrameBytes + 1, 'x'), frame, error));
+}
+
+TEST(FrameCodecTest, SplicedFilesYieldOnlyWrittenFrames)
+{
+    const std::vector<std::string> left = journalRecords("left");
+    const std::vector<std::string> right = journalRecords("right");
+    const FramedBytes a = framedFile(left);
+    const FramedBytes b = framedFile(right);
+    auto isBoundary = [](const FramedBytes &f, std::size_t off) {
+        return off == sizeof kJournalMagic ||
+               std::find(f.ends.begin(), f.ends.end(), off) !=
+                   f.ends.end();
+    };
+    std::set<std::string> written(left.begin(), left.end());
+    written.insert(right.begin(), right.end());
+    for (std::size_t i = sizeof kJournalMagic; i <= a.bytes.size(); ++i) {
+        for (std::size_t j = 0; j <= b.bytes.size(); ++j) {
+            std::string m = a.bytes.substr(0, i) + b.bytes.substr(j);
+            FrameWalk walk = walkFrames(m.data(), m.size(), 8);
+            // A's whole frames always survive. What follows may only be
+            // written frames: the two files share byte runs, so a cut
+            // can rejoin into one of them.
+            std::size_t keep = framesWithin(a, i);
+            ASSERT_GE(walk.payloads.size(), keep) << i << "+" << j;
+            ASSERT_EQ(firstN(walk.payloads, keep), firstN(left, keep))
+                << i << "+" << j;
+            for (const std::string &p : walk.payloads)
+                ASSERT_EQ(written.count(p), 1u) << i << "+" << j;
+            // Both cuts on frame boundaries: an append after a clean
+            // cut, so B's remaining frames all follow.
+            if (isBoundary(a, i) && j > 0 && isBoundary(b, j)) {
+                ASSERT_EQ(walk.payloads.size(),
+                          keep + right.size() - framesWithin(b, j))
+                    << i << "+" << j;
+            }
+        }
+    }
+}
+
+TEST(FrameCodecTest, MutatedSocketFramesNeverDeliverUnsentPayloads)
+{
+    SweepRequestSpec spec;
+    spec.configs = {"base", "pair"};
+    spec.benchmarks = {"gzip"};
+    const std::string payload = msgSubmit(spec);
+    std::string frame, error;
+    ASSERT_TRUE(encodeFrame(payload, frame, error)) << error;
+
+    // recvFrame on the socket and walkFrames on the same bytes (the
+    // cell result pipe) must agree: the payload whole, or nothing.
+    auto check = [&](const std::string &m, const std::string &what) {
+        int sp[2];
+        ASSERT_EQ(0, ::socketpair(AF_UNIX, SOCK_STREAM, 0, sp));
+        rawWrite(sp[0], m);
+        ::close(sp[0]);
+        std::string back;
+        int rc = recvFrame(sp[1], back, error);
+        ::close(sp[1]);
+        FrameWalk walk = walkFrames(m.data(), m.size());
+        if (m == frame) {
+            EXPECT_EQ(1, rc) << what;
+            EXPECT_EQ(back, payload) << what;
+            EXPECT_EQ(walk.payloads, std::vector<std::string>{payload});
+        } else {
+            EXPECT_EQ(m.empty() ? 0 : -1, rc) << what;
+            EXPECT_TRUE(walk.payloads.empty()) << what;
+        }
+    };
+    for (std::size_t bit = 0; bit < frame.size() * 8; ++bit) {
+        std::string m = frame;
+        m[bit / 8] = static_cast<char>(m[bit / 8] ^ (1 << (bit % 8)));
+        check(m, "bit " + std::to_string(bit));
+    }
+    for (std::size_t len = 0; len <= frame.size(); ++len)
+        check(frame.substr(0, len), "cut " + std::to_string(len));
 }
 
 TEST(ServeProtoTest, SpecCodecRoundTripsEveryField)
@@ -296,12 +525,12 @@ TEST(ReqlogTest, RoundTripsDeduplicatesAndToleratesATornTail)
     specB.name = "finished";
 
     std::string error;
-    int fd = openReqlogForAppend(path, error);
-    ASSERT_GE(fd, 0) << error;
-    ASSERT_TRUE(reqlogAppendAccepted(fd, 3, specA, error)) << error;
-    ASSERT_TRUE(reqlogAppendAccepted(fd, 4, specB, error)) << error;
-    ASSERT_TRUE(reqlogAppendFinished(fd, 4, 0, error)) << error;
-    ASSERT_EQ(0, ::close(fd));
+    FramedFileAppender log;
+    ASSERT_TRUE(log.open(path, kReqlogFormat, false, error)) << error;
+    ASSERT_TRUE(reqlogAppendAccepted(log, 3, specA, error)) << error;
+    ASSERT_TRUE(reqlogAppendAccepted(log, 4, specB, error)) << error;
+    ASSERT_TRUE(reqlogAppendFinished(log, 4, 0, error)) << error;
+    ASSERT_TRUE(log.close());
 
     std::vector<ReqlogEntry> entries;
     ASSERT_TRUE(readReqlog(path, entries, error)) << error;
@@ -315,10 +544,9 @@ TEST(ReqlogTest, RoundTripsDeduplicatesAndToleratesATornTail)
     EXPECT_EQ(0u, entries[1].finalState);
 
     // Reopening for append must not rewrite the magic mid-file.
-    fd = openReqlogForAppend(path, error);
-    ASSERT_GE(fd, 0) << error;
-    ASSERT_TRUE(reqlogAppendFinished(fd, 3, 1, error)) << error;
-    ASSERT_EQ(0, ::close(fd));
+    ASSERT_TRUE(log.open(path, kReqlogFormat, false, error)) << error;
+    ASSERT_TRUE(reqlogAppendFinished(log, 3, 1, error)) << error;
+    ASSERT_TRUE(log.close());
     ASSERT_TRUE(readReqlog(path, entries, error)) << error;
     ASSERT_EQ(2u, entries.size());
     EXPECT_TRUE(entries[0].finished);
@@ -888,7 +1116,8 @@ TEST(ServeDaemonTest, StreamedResultsAreBitIdenticalToADirectSweep)
         std::ofstream out(teePath, std::ios::binary);
         out.write(kJournalMagic, sizeof kJournalMagic);
         for (const auto &[index, payload] : stream.records) {
-            std::string frame = frameJournalRecord(payload);
+            std::string frame;
+            ASSERT_TRUE(encodeFrame(payload, frame, error)) << error;
             out.write(frame.data(),
                       static_cast<std::streamsize>(frame.size()));
         }
@@ -1415,10 +1644,12 @@ TEST(ServeDaemonTest, RestartReadoptsJournaledRequests)
     // finished, its journal holding the SweepBegin record it had
     // already streamed — plus a stale journal from a request the
     // reqlog knows nothing about.
-    int fd = openReqlogForAppend(opts.spoolDir + "/reqlog", error);
-    ASSERT_GE(fd, 0) << error;
-    ASSERT_TRUE(reqlogAppendAccepted(fd, 5, spec, error)) << error;
-    ASSERT_EQ(0, ::close(fd));
+    FramedFileAppender log;
+    ASSERT_TRUE(log.open(opts.spoolDir + "/reqlog", kReqlogFormat, false,
+                         error))
+        << error;
+    ASSERT_TRUE(reqlogAppendAccepted(log, 5, spec, error)) << error;
+    ASSERT_TRUE(log.close());
 
     const std::string begin = encodeSweepBeginRecord(
         spec.name, spec.configs, spec.benchmarks);
@@ -1426,7 +1657,8 @@ TEST(ServeDaemonTest, RestartReadoptsJournaledRequests)
         std::ofstream out(opts.spoolDir + "/req_5.journal",
                           std::ios::binary);
         out.write(kJournalMagic, sizeof kJournalMagic);
-        std::string frame = frameJournalRecord(begin);
+        std::string frame;
+        ASSERT_TRUE(encodeFrame(begin, frame, error)) << error;
         out.write(frame.data(),
                   static_cast<std::streamsize>(frame.size()));
     }

@@ -35,7 +35,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -166,29 +165,16 @@ pumpStream(ServeClient &client, std::uint64_t id,
            std::uint64_t fromIndex, const StreamOptions &opts)
 {
     JournalAccumulator acc;
-    std::unique_ptr<std::FILE, int (*)(std::FILE *)> journal(
-        nullptr, std::fclose);
-    if (!opts.journalPath.empty()) {
-        bool fresh = fromIndex == 0;
-        std::FILE *f = std::fopen(opts.journalPath.c_str(),
-                                  fresh ? "wb" : "ab");
-        if (f == nullptr) {
-            std::fprintf(stderr, "lsqctl: cannot open journal %s\n",
-                         opts.journalPath.c_str());
-            return 3;
-        }
-        journal.reset(f);
-        if (fresh &&
-            std::fwrite(kJournalMagic, 1, sizeof(kJournalMagic), f) !=
-                sizeof(kJournalMagic)) {
-            std::fprintf(stderr, "lsqctl: short write to %s\n",
-                         opts.journalPath.c_str());
-            return 3;
-        }
+    FramedFileAppender journal;
+    std::string journalError;
+    if (!opts.journalPath.empty() &&
+        !journal.open(opts.journalPath, kJournalFormat,
+                      /*fresh=*/fromIndex == 0, journalError)) {
+        std::fprintf(stderr, "lsqctl: %s\n", journalError.c_str());
+        return 3;
     }
 
     std::uint64_t lastIndex = fromIndex;
-    bool journalTorn = false;
     DoneSummary done;
     std::string error;
     auto onRecord = [&](std::uint64_t index,
@@ -200,17 +186,10 @@ pumpStream(ServeClient &client, std::uint64_t id,
                          "lsqctl: skipping bad record %llu: %s\n",
                          static_cast<unsigned long long>(index),
                          recErr.c_str());
-        if (journal) {
-            std::string frame = frameJournalRecord(payload);
-            if (std::fwrite(frame.data(), 1, frame.size(),
-                            journal.get()) != frame.size() ||
-                std::fflush(journal.get()) != 0) {
-                if (!journalTorn)
-                    std::fprintf(stderr,
-                                 "lsqctl: short write to %s\n",
-                                 opts.journalPath.c_str());
-                journalTorn = true;
-            }
+        if (journal.isOpen() && !journal.append(payload, journalError)) {
+            std::fprintf(stderr, "lsqctl: journal %s: %s\n",
+                         opts.journalPath.c_str(), journalError.c_str());
+            journal.close();
         }
     };
 
@@ -305,8 +284,8 @@ pumpStream(ServeClient &client, std::uint64_t id,
                                JsonFileSink::render(outcome, meta)))
         return 3;
 
-    if (journalTorn)
-        return 3;
+    if (!journalError.empty())
+        return 3; // the tee is short
     if (done.state != 0)
         return 1;
     return outcome.poisonedCells == 0 ? 0 : 1;
